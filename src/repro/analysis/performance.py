@@ -108,28 +108,21 @@ def analysis_scaling(
     scales: List[float],
     seed: int = 0,
     incremental: bool = True,
-    dense_bits: bool = False,
 ) -> List[ScalingPoint]:
     """Offline-analysis wall-clock time across event-count scales.
 
     ``incremental=False`` measures the historical
-    closure-recompute-per-round builder, ``dense_bits=True`` the
-    historical dense big-int closure storage, for before/after
-    comparisons.
+    closure-recompute-per-round builder, for before/after comparisons.
     """
     points: List[ScalingPoint] = []
     for scale in scales:
         run = app_cls(scale=scale, seed=seed).run(tracing=True)
         assert run.trace is not None
         start = time.perf_counter()
-        hb = build_happens_before(
-            run.trace, incremental=incremental, dense_bits=dense_bits
-        )
+        hb = build_happens_before(run.trace, incremental=incremental)
         hb_elapsed = time.perf_counter() - start
         start = time.perf_counter()
-        result = detect_use_free_races(
-            run.trace, DetectorOptions(dense_bits=dense_bits)
-        )
+        result = detect_use_free_races(run.trace)
         detect_elapsed = time.perf_counter() - start
         query_profile = result.hb.query_profile
         profile = hb.profile
@@ -154,16 +147,6 @@ def analysis_scaling(
             )
         )
     return points
-
-
-def _matrix_cell(
-    app_cls: Type[AppModel],
-    scales: List[float],
-    seed: int,
-    dense_bits: bool,
-) -> List[ScalingPoint]:
-    """One app's row of the cross-app scaling matrix (pool worker)."""
-    return analysis_scaling(app_cls, scales, seed=seed, dense_bits=dense_bits)
 
 
 class _RecordingHB:
@@ -246,7 +229,6 @@ def detection_benchmark(
     app_cls: Type[AppModel],
     scale: float = 0.5,
     seed: int = 1,
-    dense_bits: bool = False,
 ) -> DetectionBenchmark:
     """Measure the detection phase fast-vs-scan on one app workload."""
     run = app_cls(scale=scale, seed=seed).run(tracing=True)
@@ -254,7 +236,7 @@ def detection_benchmark(
     trace = run.trace
 
     def detect_phase(fast: bool):
-        options = DetectorOptions(fast_queries=fast, dense_bits=dense_bits)
+        options = DetectorOptions(fast_queries=fast)
         detector = UseFreeDetector(trace, options=options)
         hb = detector.hb  # prebuilt: the phase times queries, not builds
         accesses = detector.accesses
@@ -282,21 +264,17 @@ def detection_benchmark(
     ).detect()
 
     # ... and replay it through each path.  The fast relation gets its
-    # one-time per-op indexes and prefix masks warmed by a throwaway
+    # one-time per-op indexes and task ranges warmed by a throwaway
     # replay, then the memo is reset: the timing below is steady-state
     # query work, every verdict recomputed.
-    fast_replay_hb = build_happens_before(
-        trace, fast_queries=True, dense_bits=dense_bits
-    )
+    fast_replay_hb = build_happens_before(trace, fast_queries=True)
     fast_replay_hb.concurrent_pairs(workload)
     fast_replay_hb.reset_query_memo()
     start = time.perf_counter()
     fast_verdicts = fast_replay_hb.concurrent_pairs(workload)
     fast_replay = time.perf_counter() - start
 
-    scan_replay_hb = build_happens_before(
-        trace, fast_queries=False, dense_bits=dense_bits
-    )
+    scan_replay_hb = build_happens_before(trace, fast_queries=False)
     start = time.perf_counter()
     scan_verdicts = scan_replay_hb.concurrent_pairs(workload)
     scan_replay = time.perf_counter() - start

@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from typing import Tuple
 
-from ..trace import BranchKind, Branch, Trace
+from ..trace import BranchKind, Trace
 from .accesses import AccessIndex, Guard, PointerWrite, Use
 
 _END_OF_METHOD = sys.maxsize
@@ -45,12 +45,7 @@ def branch_safe_region(kind: BranchKind, pc: int, target: int) -> Tuple[int, int
 
 
 def _branch_kind_of(trace: Trace, guard: Guard) -> BranchKind:
-    store = trace.store
-    if store is not None:
-        return store.field_of(guard.index, "branch_kind")
-    op = trace[guard.index]
-    assert isinstance(op, Branch)
-    return op.branch_kind
+    return trace.store.field_of(guard.index, "branch_kind")
 
 
 def use_is_guarded(index: AccessIndex, use: Use) -> bool:
@@ -67,10 +62,7 @@ def use_is_guarded(index: AccessIndex, use: Use) -> bool:
     trace = index.trace
     store = trace.store
     for deref_index in use.deref_indices:
-        if store is not None:
-            deref_pc = store.field_of(deref_index, "pc", -1)
-        else:
-            deref_pc = getattr(trace[deref_index], "pc", -1)
+        deref_pc = store.field_of(deref_index, "pc", -1)
         covered = False
         for guard in candidate_guards:
             if guard.index > deref_index:

@@ -1,8 +1,8 @@
 """Chunked sparse bitsets for the happens-before closure engine.
 
-The incremental closure historically stored one dense Python big-int
-bitset per key node.  A big int's size is set by its *highest* bit, so
-a node that reaches a single late node pays for the whole id range —
+A closure that stores one dense Python big-int bitset per key node
+scales badly: a big int's size is set by its *highest* bit, so a node
+that reaches a single late node pays for the whole id range —
 on traces past ~10⁵ key nodes the closure memory grows quadratically
 even when actual reachability is sparse (most event pairs are
 concurrent, which is the whole point of the analysis).
@@ -34,8 +34,9 @@ Both Roemer & Bond (arXiv:1907.08337) and Mathur et al.
 tuned to the analysis' access pattern beat uniform dense state, and
 HB reasoning stays sound when the closure state is maintained
 incrementally — the representation may change, the relation may not.
-The dense big-int path is preserved behind ``dense_bits=True`` and
-differentially tested against this one.
+The builder is differentially tested against
+:class:`~repro.hb.reference.ReferenceHappensBefore`, whose big-int rows
+share no code with this module.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ from ..hb.builder import (
     _effective_task_of_id,
     _harvest,
 )
-from ..hb.config import CAFA_MODEL, DEFAULT_DENSE_BITS, ModelConfig
+from ..hb.config import CAFA_MODEL, ModelConfig
 from ..hb.graph import HappensBefore, KeyGraph
 from ..trace import (
     Acquire,
@@ -136,11 +136,10 @@ class IncrementalHB:
         self,
         trace: Trace,
         config: ModelConfig = CAFA_MODEL,
-        dense_bits: bool = DEFAULT_DENSE_BITS,
     ) -> None:
         self.trace = trace
         self.config = config
-        self.graph = KeyGraph(incremental=True, dense_bits=dense_bits)
+        self.graph = KeyGraph(incremental=True)
         self.state = _BuildState(trace=trace, config=config)
         self.task_key_positions: Dict[str, List[int]] = {}
         self.task_key_nodes: Dict[str, List[int]] = {}

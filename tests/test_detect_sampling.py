@@ -1,6 +1,5 @@
 """The sampled detector: budget semantics, screen soundness, seed
-determinism, and the all-apps differential against full detection
-(columnar/legacy store x sparse/dense closure bits)."""
+determinism, and the all-apps differential against full detection."""
 
 import pytest
 
@@ -182,17 +181,13 @@ class TestDeterminism:
         assert len(draws) > 1
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "legacy"])
-@pytest.mark.parametrize("dense_bits", [False, True], ids=["sparse", "dense"])
 class TestDifferentialAllApps:
-    """Acceptance: sampled vs full on all ten apps x store x bits."""
+    """Acceptance: sampled vs full on all ten apps."""
 
-    def test_confirmed_races_subset_and_exhaustively_equal(
-        self, columnar, dense_bits
-    ):
-        detector = DetectorOptions(dense_bits=dense_bits)
+    def test_confirmed_races_subset_and_exhaustively_equal(self):
+        detector = DetectorOptions()
         for app_cls in ALL_APPS:
-            trace = app_cls(scale=0.02, seed=0).run(columnar=columnar).trace
+            trace = app_cls(scale=0.02, seed=0).run().trace
             full_keys = keys_of(
                 UseFreeDetector(trace, detector).detect()
             )

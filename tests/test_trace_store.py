@@ -23,9 +23,18 @@ from tests.test_property_structures import operation_st
 from hypothesis import given, settings
 
 
-def rich_trace(columnar=True):
-    """One of every interesting payload shape, on either backend."""
+def rich_trace_and_ops():
+    """One of every interesting payload shape, plus the operation
+    objects exactly as they were appended."""
     b = TraceBuilder()
+    appended = []
+    store_append = b._trace.append
+
+    def record(op):
+        appended.append(op)
+        return store_append(op)
+
+    b._trace.append = record
     b.looper("L")
     b.thread("T")
     b.event("E", looper="L", external=True)
@@ -44,21 +53,20 @@ def rich_trace(columnar=True):
     b.ptr_write("E", ("obj", 4, "p"), value=None, container=4, method="onE", pc=4)
     b.ipc_call("E", txn=7, service="svc", oneway=True)
     b.end("E")
-    trace = b.build()
-    if columnar:
-        return trace
-    legacy = Trace(ops=list(trace.ops), tasks=trace.tasks, columnar=False)
-    return legacy
+    return b.build(), appended
+
+
+def rich_trace():
+    return rich_trace_and_ops()[0]
 
 
 class TestRoundTrip:
     def test_every_op_materializes_identically(self):
-        columnar = rich_trace()
-        legacy = rich_trace(columnar=False)
-        assert len(columnar) == len(legacy)
-        for i in range(len(columnar)):
-            assert columnar.ops[i] == legacy.ops[i]
-            assert type(columnar.ops[i]) is type(legacy.ops[i])
+        trace, appended = rich_trace_and_ops()
+        assert len(trace) == len(appended)
+        for i, op in enumerate(appended):
+            assert trace.ops[i] == op
+            assert type(trace.ops[i]) is type(op)
 
     @settings(max_examples=200)
     @given(operation_st)
@@ -83,14 +91,16 @@ class TestRoundTrip:
 
 class TestIndexViews:
     def test_ops_of_matches_legacy_scan(self):
-        columnar, legacy = rich_trace(), rich_trace(columnar=False)
+        trace = rich_trace()
         for task in ("T", "E", "absent"):
-            assert columnar.ops_of(task) == legacy.ops_of(task)
+            scan = [i for i, op in enumerate(trace.ops) if op.task == task]
+            assert trace.ops_of(task) == scan
 
     def test_by_kind_matches_legacy_scan(self):
-        columnar, legacy = rich_trace(), rich_trace(columnar=False)
+        trace = rich_trace()
         for kind in OpKind:
-            assert columnar.by_kind(kind) == legacy.by_kind(kind)
+            scan = [i for i, op in enumerate(trace.ops) if op.kind is kind]
+            assert trace.by_kind(kind) == scan
 
     def test_indices_of_merges_ascending(self):
         store = rich_trace().store
@@ -125,17 +135,13 @@ class TestOpsView:
             view[len(view)]
 
     def test_equality_against_lists_and_views(self):
-        columnar, legacy = rich_trace(), rich_trace(columnar=False)
-        assert columnar.ops == list(legacy.ops)
-        assert not (columnar.ops != rich_trace().ops)
-        assert columnar.ops != list(legacy.ops)[:-1]
+        trace, appended = rich_trace_and_ops()
+        assert trace.ops == appended
+        assert not (trace.ops != rich_trace().ops)
+        assert trace.ops != appended[:-1]
 
 
 class TestProfile:
-    def test_backends_are_labelled(self):
-        assert rich_trace().profile().backend == "columnar"
-        assert rich_trace(columnar=False).profile().backend == "object"
-
     def test_profile_counts_and_format(self):
         trace = rich_trace()
         profile = trace.profile(disk_bytes=123)
@@ -144,7 +150,8 @@ class TestProfile:
         assert profile.symbols == len(trace.store.symbols)
         assert profile.memory_bytes > 0
         text = profile.format()
-        assert "columnar" in text and "on disk: 123 bytes" in text
+        assert text.startswith(f"trace store: {len(trace)} ops")
+        assert "on disk: 123 bytes" in text
 
     def test_trace_profile_free_function_matches_method(self):
         trace = rich_trace()
@@ -156,9 +163,8 @@ class TestExternalSeqValidation:
     events must be rejected — a duplicate makes the external-input
     chain order ambiguous."""
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_duplicate_external_seq_rejected(self, columnar):
-        trace = Trace(columnar=columnar)
+    def test_duplicate_external_seq_rejected(self):
+        trace = Trace()
         trace.add_task(TaskInfo(task="L", task_kind=TaskKind.LOOPER))
         for name in ("E1", "E2"):
             trace.add_task(
@@ -174,13 +180,12 @@ class TestExternalSeqValidation:
         with pytest.raises(TraceError, match="share external_seq 7"):
             trace.validate()
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_duplicate_external_seq_error_names_colliding_ops(self, columnar):
+    def test_duplicate_external_seq_error_names_colliding_ops(self):
         """The error must point at the colliding operations: each
         event's first operation index and kind (or "no operations" for
         an event never dispatched), so the offending records can be
         found in the trace without a manual scan."""
-        trace = Trace(columnar=columnar)
+        trace = Trace()
         trace.add_task(TaskInfo(task="L", task_kind=TaskKind.LOOPER))
         for name in ("E1", "E2"):
             trace.add_task(

@@ -1,10 +1,11 @@
 """The v2 positional trace format: property-based round-trips across
-both versions and backends, version negotiation, the streaming kind
+both versions, version negotiation, the streaming kind
 table, gzip transparency, and malformed-record diagnostics."""
 
 import gzip
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,23 +30,18 @@ from tests.test_trace_serialization import sample_trace
 ops_st = st.lists(operation_st, max_size=30)
 
 
-def bare_trace(ops, columnar=True):
-    trace = Trace(columnar=columnar)
+def bare_trace(ops):
+    trace = Trace()
     trace.extend(ops)
     return trace
 
 
 class TestPropertyRoundTrips:
     @settings(max_examples=150, deadline=None)
-    @given(ops_st, st.sampled_from(SUPPORTED_VERSIONS), st.booleans(), st.booleans())
-    def test_any_ops_round_trip_both_versions_both_backends(
-        self, ops, version, write_columnar, read_columnar
-    ):
-        trace = bare_trace(ops, columnar=write_columnar)
-        blob = dumps_trace_bytes(trace, version=version)
-        back = loads_trace(blob, columnar=read_columnar)
-        assert list(back.ops) == ops
-        assert back.columnar is read_columnar
+    @given(ops_st, st.sampled_from(SUPPORTED_VERSIONS))
+    def test_any_ops_round_trip_both_versions(self, ops, version):
+        blob = dumps_trace_bytes(bare_trace(ops), version=version)
+        assert list(loads_trace(blob).ops) == ops
 
     @settings(max_examples=100, deadline=None)
     @given(ops_st)
@@ -154,6 +150,29 @@ class TestMalformedRecords:
         text = self._v2_stream(["z", 1])
         with pytest.raises(TraceError, match="unrecognized"):
             loads_trace(text)
+
+
+class TestLoadTraceMisuse:
+    """``load_trace`` takes an open stream.  A path or raw data used to
+    be iterated character by character and fail as a misleading
+    "stream ends mid-line" format error."""
+
+    @pytest.mark.parametrize(
+        "arg",
+        ["/some/path.jsonl", b"/some/path.jsonl", Path("/some/path.jsonl")],
+        ids=["str", "bytes", "pathlike"],
+    )
+    def test_path_or_data_argument_is_a_type_error(self, arg):
+        with pytest.raises(TypeError, match=r"load_trace_file\(\)"):
+            load_trace(arg)
+
+    def test_real_file_still_loads_through_load_trace_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        trace = sample_trace()
+        save_trace_file(trace, path)
+        with pytest.raises(TypeError):
+            load_trace(str(path))
+        assert load_trace_file(str(path)).ops == trace.ops
 
 
 class TestGzip:
