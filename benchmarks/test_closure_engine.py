@@ -1,6 +1,6 @@
 """Experiment P5 — the chunked sparse-bitset closure engine.
 
-Two before/after claims, each pinned by a recorded bound in
+Three claims, each pinned by a recorded bound in
 ``bounds_pr5.json``:
 
 * **Memory.**  On the largest scaling workload (music at scale 0.5),
@@ -18,12 +18,20 @@ Two before/after claims, each pinned by a recorded bound in
   more than the recorded count.  The trace is hand-built, so the
   counters are deterministic by construction and the bound is exact.
 
+* **Fixpoint work.**  On the memory workload, the popcount settle test
+  of atomicity and queue rule 1 must settle exactly the recorded number
+  of members and leave exactly the recorded number of candidate pairs
+  to pairwise enumeration — machine-independent counts, where the
+  wall-clock speedup they stand for is not.
+
 The closure's correctness is checked separately, against the reference
 oracle (``tests/test_differential_oracle.py``).
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.apps import make_app
 from repro.hb import build_happens_before
@@ -32,6 +40,14 @@ from repro.testing import TraceBuilder
 BOUNDS = json.loads(
     (Path(__file__).parent / "bounds_pr5.json").read_text(encoding="utf-8")
 )
+
+
+@pytest.fixture(scope="module")
+def memory_workload():
+    """The recorded app trace both music@0.5 gates build."""
+    bounds = BOUNDS["memory"]
+    app = make_app(bounds["app"], scale=bounds["scale"], seed=bounds["seed"])
+    return app.run().trace
 
 
 def huge_looper_trace(n_events: int):
@@ -53,15 +69,13 @@ def huge_looper_trace(n_events: int):
     return b.build()
 
 
-def test_sparse_closure_memory_stays_under_bound(benchmark):
+def test_sparse_closure_memory_stays_under_bound(benchmark, memory_workload):
     """The chunked closure of the recorded workload must stay within
     ``max_closure_bytes`` (an exact, deterministic byte count) and
     share chunks between nodes."""
     bounds = BOUNDS["memory"]
-    app = make_app(bounds["app"], scale=bounds["scale"], seed=bounds["seed"])
-
     hb = benchmark.pedantic(
-        lambda: build_happens_before(app.run().trace), rounds=1, iterations=1
+        lambda: build_happens_before(memory_workload), rounds=1, iterations=1
     )
     nodes = hb.graph.node_count
     closure_bytes = hb.profile.closure_bytes
@@ -92,3 +106,18 @@ def test_per_event_dirty_tracking_beats_per_group(benchmark):
     assert profile.events_repropagated <= bounds["max_events_repropagated"]
     benchmark.extra_info["events_repropagated"] = profile.events_repropagated
     benchmark.extra_info["group_dirty_events"] = profile.group_dirty_events
+
+
+def test_fixpoint_settles_the_recorded_members(benchmark, memory_workload):
+    """Per derived rule, the members settled by popcount and the pairs
+    still enumerated on the memory workload must equal the recorded
+    counts exactly."""
+    hb = benchmark.pedantic(
+        lambda: build_happens_before(memory_workload), rounds=1, iterations=1
+    )
+    work = hb.profile.rule_work
+    for rule, recorded in BOUNDS["fixpoint"]["rules"].items():
+        assert work[rule].members_settled == recorded["members_settled"], rule
+        assert work[rule].pairs_enumerated == recorded["pairs_enumerated"], rule
+        benchmark.extra_info[f"{rule}.members_settled"] = work[rule].members_settled
+        benchmark.extra_info[f"{rule}.pairs_enumerated"] = work[rule].pairs_enumerated

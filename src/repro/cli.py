@@ -221,7 +221,7 @@ def _cmd_witness(args) -> int:
 def _cmd_stats(args) -> int:
     import os
 
-    from .hb import build_happens_before, hb_stats
+    from .hb import CAFA_MODEL, build_happens_before, hb_stats
     from .obs.spans import enable_tracing, span
 
     if args.daemon:
@@ -289,12 +289,16 @@ def _cmd_stats(args) -> int:
     if args.sampled:
         from .detect import SamplerOptions, detect_sampled
 
+        options = SamplerOptions(
+            budget=args.budget, seed=args.sample_seed, confirm=True
+        )
         with span("detect.sampled", ops=len(trace)):
+            # The relation above was built under the default model;
+            # the confirm pass reuses it rather than building it again.
             sampled = detect_sampled(
                 trace,
-                SamplerOptions(
-                    budget=args.budget, seed=args.sample_seed, confirm=True
-                ),
+                options,
+                hb=hb if options.detector.model == CAFA_MODEL else None,
             )
         sample_profile = sampled.profile
         if not args.json:

@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Tuple
 
-from ..hb import QueryBudget, build_happens_before
+from ..hb import HappensBefore, QueryBudget, build_happens_before
 from ..trace import Address, OpKind, TaskKind, Trace
 from .accesses import AccessIndex, PointerWrite, Use, extract_accesses
 from .heuristics import (
@@ -106,7 +106,8 @@ class SampleProfile:
     screened_order: int = 0
     #: sampled pairs surviving every screen
     suspects: int = 0
-    #: 1 when the confirm pass built a happens-before relation
+    #: 1 when the confirm pass ran over a happens-before relation
+    #: (built here, or handed in prebuilt)
     hb_built: int = 0
     #: suspects answered through the budgeted concurrent_pairs batch
     pairs_queried: int = 0
@@ -229,10 +230,15 @@ class SampledDetector:
         trace: Trace,
         options: Optional[SamplerOptions] = None,
         accesses: Optional[AccessIndex] = None,
+        hb: Optional[HappensBefore] = None,
     ) -> None:
         self.trace = trace
         self.options = options or SamplerOptions()
         self._accesses = accesses
+        #: a prebuilt relation under ``options.detector.model`` for the
+        #: confirm pass (as :class:`UseFreeDetector` accepts); built
+        #: lazily when absent
+        self._hb = hb
 
     @property
     def accesses(self) -> AccessIndex:
@@ -307,12 +313,14 @@ class SampledDetector:
         options = self.options.detector
         profile = result.profile
         accesses = self.accesses
-        hb = build_happens_before(
-            self.trace,
-            options.model,
-            fast_queries=options.fast_queries,
-            memo_capacity=options.memo_capacity,
-        )
+        hb = self._hb
+        if hb is None:
+            hb = self._hb = build_happens_before(
+                self.trace,
+                options.model,
+                fast_queries=options.fast_queries,
+                memo_capacity=options.memo_capacity,
+            )
         profile.hb_built = 1
         budget = QueryBudget(limit=len(result.suspects))
         verdicts = hb.concurrent_pairs(
@@ -347,6 +355,7 @@ def detect_sampled(
     trace: Trace,
     options: Optional[SamplerOptions] = None,
     accesses: Optional[AccessIndex] = None,
+    hb: Optional[HappensBefore] = None,
 ) -> SampledResult:
     """Convenience one-shot entry point."""
-    return SampledDetector(trace, options, accesses).detect()
+    return SampledDetector(trace, options, accesses, hb).detect()

@@ -167,6 +167,19 @@ class SparseBits:
                 return True
         return False
 
+    def and_count(self, other: "SparseBits") -> int:
+        """Popcount of the intersection, without materializing it."""
+        a, b = self.chunks, other.chunks
+        if len(b) < len(a):
+            a, b = b, a
+        get = b.get
+        count = 0
+        for block, chunk in a.items():
+            theirs = get(block)
+            if theirs is not None:
+                count += (chunk & theirs).bit_count()
+        return count
+
     def and_iter(self, other: "SparseBits") -> Iterator[int]:
         """Iterate set bits of the intersection in ascending order."""
         a, b = self.chunks, other.chunks

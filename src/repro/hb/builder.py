@@ -28,6 +28,15 @@ and applied between rounds, which keeps the produced edge set
 bit-for-bit identical to the historical snapshot-per-round
 implementation (available as ``build_happens_before(...,
 incremental=False)`` for differential testing).
+
+Inside a round, the atomicity rule and queue rule 1 first try to
+*settle* each member with two chunk-wise popcounts over the live reach
+sets: when the counts agree, every conclusion the member could draw is
+already implied, so its candidate pairs are never enumerated.  The
+test is exact — a settled member never concludes a new edge — so the
+edge set is unchanged; ``docs/model.md`` gives the two identities and
+their arguments, and ``BuildProfile.rule_work`` counts members
+settled and pairs still enumerated per rule.
 """
 
 from __future__ import annotations
@@ -120,6 +129,9 @@ class BuildProfile:
     #: ``events_repropagated <= group_dirty_events`` always, and the
     #: gap is the win of per-event tracking
     group_dirty_events: int = 0
+    #: per derived rule (keyed by its edge label), the fixpoint's work
+    #: summed over every round — see :class:`RuleWork`
+    rule_work: Dict[str, "RuleWork"] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -129,6 +141,27 @@ class BuildProfile:
             + self.closure_seconds
             + self.fixpoint_seconds
         )
+
+
+@dataclass
+class RuleWork:
+    """What one derived rule did across the fixpoint's rounds.
+
+    A *member* is the event whose premise reach set the rule reads
+    (each event of a looper for atomicity, each send for queue rule 1,
+    each sendAtFront for rules 2–4).  Atomicity and queue rule 1 first
+    try to settle a member with two popcounts (``docs/model.md``); only
+    unsettled members have their candidate pairs enumerated.
+    """
+
+    #: members whose premise was read
+    members_examined: int = 0
+    #: members proved by popcount to conclude nothing new
+    members_settled: int = 0
+    #: candidate pairs checked one by one
+    pairs_enumerated: int = 0
+    #: conclusions not already implied (staged as new edges)
+    edges_concluded: int = 0
 
 
 @dataclass
@@ -565,8 +598,12 @@ class _AtomicityGroup:
 
     recs: List[EventRecord]
     begin_node: List[int]
+    end_node: List[int]
     #: end-node suffix masks: suffix[i] = OR of end nodes after position i-1
     suffix: List[SparseBits]
+    #: every member's begin node (the settle test's group-wide mask;
+    #: the group-wide end mask is ``suffix[0]``)
+    begins: SparseBits
     event_of_end_node: Dict[int, EventRecord]
     #: nodes whose reach sets the rule's premise reads
     premise: FrozenSet[int]
@@ -580,8 +617,15 @@ class _QueueGroup:
     fronts: List[EventRecord]
     delays: List[int]
     send_node: List[int]
+    send_begin_node: List[int]
+    send_end_node: List[int]
     #: send-node suffix masks over the delay-sorted sends
     suffix: List[SparseBits]
+    #: begin-node suffix masks, one per distinct delay: keyed by the
+    #: delay's first index, ``begin_suffix[k]`` holds the begin nodes
+    #: of ``sends[k:]`` (queue rule 1's settle test; empty without
+    #: ``send_begin``, which the test's argument needs)
+    begin_suffix: Dict[int, SparseBits]
     event_of_send_node: Dict[int, EventRecord]
     all_sends_mask: SparseBits
     front_node: List[int]
@@ -601,6 +645,19 @@ def _extend_mask(mask: SparseBits, node: int) -> SparseBits:
     return out
 
 
+def _begin_suffix(delays: List[int], begin_node: List[int]) -> Dict[int, SparseBits]:
+    """Begin-node suffix masks over delay-sorted sends, kept only at the
+    first index of each distinct delay (the only indices queue rule 1
+    starts a candidate range at)."""
+    out: Dict[int, SparseBits] = {}
+    acc = SparseBits()
+    for k in range(len(delays) - 1, -1, -1):
+        acc.set(begin_node[k])
+        if k == 0 or delays[k - 1] != delays[k]:
+            out[k] = acc.copy()
+    return out
+
+
 class _DerivedRules:
     """Applies the atomicity + event-queue rules to a fixpoint.
 
@@ -617,6 +674,13 @@ class _DerivedRules:
     group; ``events_repropagated`` (members actually re-read) against
     ``group_dirty_events`` (what group granularity would have re-read)
     makes the gap observable.
+
+    A member that is re-examined is then, for atomicity and queue
+    rule 1, first *settled* by two chunk-wise popcounts: when they
+    agree, none of the member's conclusions is new and its candidate
+    pairs are never enumerated.  The identities and their exactness
+    arguments are in ``docs/model.md``; :class:`RuleWork` counts what
+    each rule did.
     """
 
     def __init__(self, state: _BuildState, graph: KeyGraph) -> None:
@@ -629,6 +693,18 @@ class _DerivedRules:
         #: rule members the per-group scheme would have re-examined
         self.group_dirty_events = 0
         config = state.config
+        #: per-rule work counters, for the rules this config enables
+        self.work: Dict[str, RuleWork] = {
+            rule: RuleWork()
+            for rule, enabled in (
+                (RULE_ATOMICITY, config.atomicity),
+                (RULE_QUEUE_1, config.queue_rule_1),
+                (RULE_QUEUE_2, config.queue_rule_2),
+                (RULE_QUEUE_3, config.queue_rule_3),
+                (RULE_QUEUE_4, config.queue_rule_4),
+            )
+            if enabled
+        }
         dispatched = [
             rec for rec in state.events.values() if rec.dispatched and rec.queue
         ]
@@ -653,7 +729,9 @@ class _DerivedRules:
                 _AtomicityGroup(
                     recs=recs,
                     begin_node=begin_node,
+                    end_node=end_node,
                     suffix=suffix,
+                    begins=SparseBits.from_indices(begin_node),
                     event_of_end_node={n: r for n, r in zip(end_node, recs)},
                     premise=frozenset(begin_node[:-1]),
                 )
@@ -667,11 +745,14 @@ class _DerivedRules:
                     continue
                 bucket = fronts if rec.at_front else sends
                 bucket.setdefault(rec.queue, []).append(rec)  # type: ignore[arg-type]
+        settle_rule_1 = config.queue_rule_1 and config.send_begin
         self.queue_groups: List[_QueueGroup] = []
         for queue in sorted(sends.keys() | fronts.keys()):
             s = sorted(sends.get(queue, []), key=lambda r: r.delay)
             f = fronts.get(queue, [])
+            delays = [r.delay for r in s]
             send_node = [self._node(r.send_index) for r in s]  # type: ignore[arg-type]
+            send_begin_node = [self._node(r.begin_index) for r in s]  # type: ignore[arg-type]
             qsuffix: List[SparseBits] = [empty] * (len(s) + 1)
             for i in range(len(s) - 1, -1, -1):
                 qsuffix[i] = _extend_mask(qsuffix[i + 1], send_node[i])
@@ -682,9 +763,16 @@ class _DerivedRules:
                 _QueueGroup(
                     sends=s,
                     fronts=f,
-                    delays=[r.delay for r in s],
+                    delays=delays,
                     send_node=send_node,
+                    send_begin_node=send_begin_node,
+                    send_end_node=[self._node(r.end_index) for r in s],  # type: ignore[arg-type]
                     suffix=qsuffix,
+                    begin_suffix=(
+                        _begin_suffix(delays, send_begin_node)
+                        if settle_rule_1 and len(s) > 1
+                        else {}
+                    ),
                     event_of_send_node={n: r for n, r in zip(send_node, s)},
                     all_sends_mask=qsuffix[0],
                     front_node=front_node,
@@ -724,6 +812,7 @@ class _DerivedRules:
         new_edges: List[Tuple[int, int, str]] = []
         seen = set()
         test = SparseBits.test
+        work = self.work
 
         def conclude(e1: EventRecord, e2: EventRecord, rule: str) -> None:
             """Record conclusion end(e1) < begin(e2) unless implied."""
@@ -735,6 +824,7 @@ class _DerivedRules:
                 return
             seen.add((u, v))
             new_edges.append((u, v, rule))
+            work[rule].edges_concluded += 1
 
         config = self.state.config
         if config.atomicity:
@@ -756,7 +846,24 @@ class _DerivedRules:
     # events in dispatch order and intersect the reachability set of
     # begin(e_i) with the end-nodes of later events in one bitset AND.
 
+    @staticmethod
+    def _atomicity_settled(reach, g: _AtomicityGroup, i: int) -> bool:
+        """Does member ``i`` provably conclude nothing new?
+
+        ``{j != i : end_j in reach[begin_i]}`` contains
+        ``{j != i : begin_j in reach[end_i]}`` by program order, so
+        equal popcounts make the sets equal — every partner the
+        premise admits is already ordered after ``end_i``.
+        """
+        b, e = g.begin_node[i], g.end_node[i]
+        rb, re = reach[b], reach[e]
+        p = rb.and_count(g.suffix[0]) - rb.test(e)
+        q = re.and_count(g.begins) - re.test(b)
+        return p == q
+
     def _atomicity(self, reach, conclude, dirty) -> None:
+        work = self.work[RULE_ATOMICITY]
+        settled = self._atomicity_settled
         and_nodes = SparseBits.and_iter
         for g in self.atom_groups:
             if not self._fresh(dirty, g.premise):
@@ -772,13 +879,38 @@ class _DerivedRules:
                     if g.begin_node[i] not in dirty:
                         continue
                     self.events_repropagated += 1
+                work.members_examined += 1
+                if settled(reach, g, i):
+                    work.members_settled += 1
+                    continue
                 for n in and_nodes(reach[g.begin_node[i]], g.suffix[i + 1]):
+                    work.pairs_enumerated += 1
                     conclude(rec, g.event_of_end_node[n], RULE_ATOMICITY)
 
     # -- Queue rule 1 -------------------------------------------------------
     # send(t1,e1,d1) < send(t2,e2,d2) and d1 <= d2  =>  end(e1) < begin(e2).
 
+    @staticmethod
+    def _queue_rule_1_settled(reach, g: _QueueGroup, i: int, start: int) -> bool:
+        """Does send ``i`` provably conclude nothing new?
+
+        Over the partners ``j != i`` of ``sends[start:]`` (delay at
+        least ``d_i``), in begin-node space: ``B = {j : begin_j in
+        reach[send_i]}`` contains both the premise set (``send_j ->
+        begin_j``) and ``Q = {j : begin_j in reach[end_i]}`` (``send_i
+        -> begin_i -> end_i``).  Equal popcounts make ``B == Q``, so
+        every premise partner is already ordered after ``end_i``.
+        Needs the send rule; callers check ``config.send_begin``.
+        """
+        later = g.begin_suffix[start]
+        b = g.send_begin_node[i]
+        rs, re = reach[g.send_node[i]], reach[g.send_end_node[i]]
+        return rs.and_count(later) - rs.test(b) == re.and_count(later) - re.test(b)
+
     def _queue_rule_1(self, reach, conclude, dirty) -> None:
+        work = self.work[RULE_QUEUE_1]
+        settle = self.state.config.send_begin
+        settled = self._queue_rule_1_settled
         and_nodes = SparseBits.and_iter
         for g in self.queue_groups:
             if len(g.sends) < 2:
@@ -794,11 +926,16 @@ class _DerivedRules:
                     if self_node not in dirty:
                         continue
                     self.events_repropagated += 1
+                work.members_examined += 1
                 # Candidate partners: delay >= d1 (sends sorted by delay).
-                mask = g.suffix[bisect_left(g.delays, rec.delay)]
-                for n in and_nodes(reach[self_node], mask):
+                start = bisect_left(g.delays, rec.delay)
+                if settle and settled(reach, g, i, start):
+                    work.members_settled += 1
+                    continue
+                for n in and_nodes(reach[self_node], g.suffix[start]):
                     if n == self_node:
                         continue
+                    work.pairs_enumerated += 1
                     conclude(rec, g.event_of_send_node[n], RULE_QUEUE_1)
 
     # -- Queue rule 2 -------------------------------------------------------
@@ -806,6 +943,7 @@ class _DerivedRules:
     #   =>  end(e2) < begin(e1).
 
     def _queue_rule_2(self, reach, conclude, dirty) -> None:
+        work = self.work[RULE_QUEUE_2]
         test = SparseBits.test
         for g in self.queue_groups:
             if not g.fronts or not g.sends:
@@ -821,22 +959,27 @@ class _DerivedRules:
                 # and reach[front] (front < begin) — re-examine when
                 # either side moved.
                 front_dirty = track and f_node in dirty
+                pairs = 0
                 for i, send in enumerate(g.sends):
                     s_node = g.send_node[i]
                     if track:
                         if not front_dirty and s_node not in dirty:
                             continue
                         self.events_repropagated += 1
-                    b_node = self._node(send.begin_index)  # type: ignore[arg-type]
+                    pairs += 1
                     if test(reach[s_node], f_node) and test(
-                        reach[f_node], b_node
+                        reach[f_node], g.send_begin_node[i]
                     ):
                         conclude(front, send, RULE_QUEUE_2)
+                if pairs:
+                    work.members_examined += 1
+                    work.pairs_enumerated += pairs
 
     # -- Queue rule 3 -------------------------------------------------------
     # sendAtFront(t1,e1) < send(t2,e2,d2)  =>  end(e1) < begin(e2).
 
     def _queue_rule_3(self, reach, conclude, dirty) -> None:
+        work = self.work[RULE_QUEUE_3]
         and_nodes = SparseBits.and_iter
         for g in self.queue_groups:
             if not g.fronts or not g.sends:
@@ -851,7 +994,9 @@ class _DerivedRules:
                     if g.front_node[j] not in dirty:
                         continue
                     self.events_repropagated += 1
+                work.members_examined += 1
                 for n in and_nodes(reach[g.front_node[j]], g.all_sends_mask):
+                    work.pairs_enumerated += 1
                     conclude(front, g.event_of_send_node[n], RULE_QUEUE_3)
 
     # -- Queue rule 4 -------------------------------------------------------
@@ -859,6 +1004,7 @@ class _DerivedRules:
     # sendAtFront(t2,e2) < begin(e1)  =>  end(e2) < begin(e1).
 
     def _queue_rule_4(self, reach, conclude, dirty) -> None:
+        work = self.work[RULE_QUEUE_4]
         test = SparseBits.test
         for g in self.queue_groups:
             if len(g.fronts) < 2:
@@ -874,6 +1020,7 @@ class _DerivedRules:
                 # Premise reads reach[n1] and reach[n2]; skip pairs
                 # where neither moved.
                 n1_dirty = track and n1 in dirty
+                pairs = 0
                 for j, f2 in enumerate(g.fronts):
                     if f1 is f2:
                         continue
@@ -882,8 +1029,12 @@ class _DerivedRules:
                         if not n1_dirty and n2 not in dirty:
                             continue
                         self.events_repropagated += 1
+                    pairs += 1
                     if test(reach[n1], n2) and test(reach[n2], b1):
                         conclude(f2, f1, RULE_QUEUE_4)
+                if pairs:
+                    work.members_examined += 1
+                    work.pairs_enumerated += pairs
 
 
 def build_happens_before(
@@ -965,6 +1116,7 @@ def build_happens_before(
         profile.groups_skipped = rules.groups_skipped
         profile.events_repropagated = rules.events_repropagated
         profile.group_dirty_events = rules.group_dirty_events
+        profile.rule_work = rules.work
         # Legacy mode invalidated the closure on every added edge; make
         # sure the final state is closed and cycle-checked.  A no-op for
         # incremental builds, whose closure is maintained live.

@@ -18,6 +18,7 @@ fixpoint's speedup observable from ``python -m repro stats``.
 from __future__ import annotations
 
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -46,7 +47,8 @@ class HBStats:
     edges_per_round: List[int] = field(default_factory=list)
     #: per-phase timings of the build, when available
     profile: Optional[BuildProfile] = None
-    #: query-side work counters (prefix masks, memoization)
+    #: query-side work counters (prefix masks, memoization), as they
+    #: stood when the stats were taken
     query_profile: Optional[QueryProfile] = None
 
     def build_section(self) -> Dict[str, object]:
@@ -111,6 +113,14 @@ class HBStats:
                     f"fixpoint groups: {p.groups_examined} examined, "
                     f"{p.groups_skipped} skipped as clean"
                 )
+            for rule, w in p.rule_work.items():
+                if w.members_examined:
+                    lines.append(
+                        f"rule {rule}: {w.members_examined} members "
+                        f"examined, {w.members_settled} settled by "
+                        f"popcount, {w.pairs_enumerated} pairs enumerated, "
+                        f"{w.edges_concluded} edges concluded"
+                    )
             if p.group_dirty_events:
                 lines.append(
                     f"dirty tracking: {p.events_repropagated} events "
@@ -150,6 +160,8 @@ def hb_stats(trace: Trace, hb: HappensBefore) -> HBStats:
         counts[rule] += 1
     kinds = Counter(info.task_kind for info in trace.tasks.values())
     profile = hb.profile if isinstance(hb.profile, BuildProfile) else None
+    # A snapshot: queries run on ``hb`` later must not move these counters.
+    query = getattr(hb, "query_profile", None)
     return HBStats(
         key_nodes=hb.graph.node_count,
         edges=hb.graph.edge_count,
@@ -163,5 +175,5 @@ def hb_stats(trace: Trace, hb: HappensBefore) -> HBStats:
         bits_propagated=hb.graph.bits_propagated,
         edges_per_round=list(profile.edges_per_round) if profile else [],
         profile=profile,
-        query_profile=getattr(hb, "query_profile", None),
+        query_profile=copy(query) if query is not None else None,
     )

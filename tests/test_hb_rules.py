@@ -281,6 +281,108 @@ class TestCycleDetection:
             build_happens_before(b.build(validate=False))
 
 
+class TestFixpointCounters:
+    """Per-rule work of the derived-rule fixpoint, pinned exactly on a
+    trace where atomicity and queue rule 1 each conclude one edge."""
+
+    @staticmethod
+    def _trace():
+        b = TraceBuilder()
+        b.looper("L1")
+        b.looper("L2")
+        b.thread("S")
+        b.thread("T")
+        b.thread("U")
+        b.event("A", looper="L1")
+        b.event("B", looper="L1")
+        b.event("E1", looper="L2")
+        b.event("E2", looper="L2")
+        # atomicity: begin(A) < end(B) through T, so end(A) < begin(B)
+        b.begin("A")
+        b.fork("A", "T")
+        b.end("A")
+        b.begin("T")
+        t = b.next_ticket()
+        b.notify("T", "m", t)
+        b.end("T")
+        b.begin("B")
+        b.wait("B", "m", t)
+        b.end("B")
+        # queue rule 1: send(E1) < send(E2) across two tasks (so no
+        # chain seeding), equal delays, so end(E1) < begin(E2)
+        b.begin("S")
+        b.send("S", "E1")
+        t2 = b.next_ticket()
+        b.notify("S", "n", t2)
+        b.end("S")
+        b.begin("U")
+        b.wait("U", "n", t2)
+        b.send("U", "E2")
+        b.end("U")
+        b.begin("E1")
+        b.end("E1")
+        b.begin("E2")
+        b.end("E2")
+        return b.build()
+
+    def test_rule_work_is_exact(self):
+        from repro.hb import RuleWork
+
+        hb = build_happens_before(self._trace())
+        work = hb.profile.rule_work
+        # Round one: A concludes end(A) < begin(B), E1 is settled (its
+        # begin reaches no later end yet); send(E1) concludes
+        # end(E1) < begin(E2), send(E2) is settled.  Round two re-reads
+        # the two members whose begin moved; both now settle.
+        assert work["atomicity"] == RuleWork(
+            members_examined=4,
+            members_settled=3,
+            pairs_enumerated=1,
+            edges_concluded=1,
+        )
+        assert work["queue-rule-1"] == RuleWork(
+            members_examined=2,
+            members_settled=1,
+            pairs_enumerated=1,
+            edges_concluded=1,
+        )
+        for rule in ("queue-rule-2", "queue-rule-3", "queue-rule-4"):
+            assert work[rule] == RuleWork()
+        assert hb.profile.edges_per_round == [2]
+        assert hb.derived_edges == 2
+
+    def test_counters_reach_stats_text_and_document(self):
+        from repro.hb import hb_stats
+
+        trace = self._trace()
+        stats = hb_stats(trace, build_happens_before(trace))
+        text = stats.format()
+        assert (
+            "rule atomicity: 4 members examined, 3 settled by popcount, "
+            "1 pairs enumerated, 1 edges concluded" in text
+        )
+        assert "rule queue-rule-1: 2 members examined" in text
+        # rules that did no work print no line
+        assert "rule queue-rule-2" not in text
+        profile = stats.build_section()["profile"]
+        assert profile["rule_work"]["queue-rule-1"] == {
+            "members_examined": 2,
+            "members_settled": 1,
+            "pairs_enumerated": 1,
+            "edges_concluded": 1,
+        }
+
+    def test_disabled_rules_have_no_counters(self):
+        config = ModelConfig(
+            queue_rule_1=False,
+            queue_rule_2=False,
+            queue_rule_3=False,
+            queue_rule_4=False,
+        )
+        hb = build_happens_before(self._trace(), config)
+        assert list(hb.profile.rule_work) == ["atomicity"]
+
+
 class TestExplain:
     def test_explain_returns_a_rule_path(self):
         b = TraceBuilder()

@@ -53,6 +53,35 @@ class TestStatsJson:
         json.loads(out)  # the whole stdout parses as one document
 
 
+class TestStatsSampled:
+    def test_builds_the_relation_once(self, trace_path, capsys, monkeypatch):
+        """The sampled confirm pass reuses the relation ``repro stats``
+        already built, and the query counters stay the detector's."""
+        import repro.detect.sampling
+        import repro.hb
+
+        assert main(["stats", trace_path, "--json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+
+        real = repro.hb.build_happens_before
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.hb, "build_happens_before", counting)
+        monkeypatch.setattr(
+            repro.detect.sampling, "build_happens_before", counting
+        )
+        assert main(["stats", trace_path, "--sampled", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sampling"]["hb_built"] == 1  # the confirm pass ran
+        assert doc["sampling"]["pairs_queried"] > 0
+        assert len(calls) == 1
+        assert doc["query"] == plain["query"]
+
+
 class TestStatsTraceOut:
     def test_writes_a_chrome_trace(self, trace_path, tmp_path, capsys):
         spans_path = tmp_path / "spans.json"

@@ -93,6 +93,7 @@ def test_subset_and_intersects_match_int(a, b):
     bits_b = SparseBits.from_indices(b)
     assert bits_a.issubset(bits_b) == (model_a & ~model_b == 0)
     assert bits_a.intersects(bits_b) == (model_a & model_b != 0)
+    assert bits_a.and_count(bits_b) == bin(model_a & model_b).count("1")
 
 
 @settings(max_examples=300, deadline=None)
