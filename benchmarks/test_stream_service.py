@@ -1,6 +1,6 @@
 """Experiment P6 — the online streaming detection service.
 
-Two claims, the first pinned by a recorded bound in
+Three claims, the first and last pinned by recorded values in
 ``bounds_pr6.json``:
 
 * **Bounded memory.**  Streaming a 10x-length synthetic session stream
@@ -14,6 +14,13 @@ Two claims, the first pinned by a recorded bound in
   byte-identical to the offline detector's on the same stream — the
   differential gate runs inside the benchmark body.
 
+* **Online derivation equals offline.**  Streaming mytracks@0.05
+  must derive exactly the recorded ``derived_edges`` in exactly the
+  recorded ``fixpoint_rounds`` — the offline build's figures.  An
+  online fixpoint that re-derives what the batch build seeds (queue
+  rule 1 along each task's sends) shows up here as a count, on any
+  machine, before it shows up as time.
+
 The ratio compares deterministic byte counts of the same closure
 structures on a deterministic workload, so it is machine-independent
 and exact.
@@ -25,6 +32,7 @@ from pathlib import Path
 from repro.analysis import bench_scale, soak_trace
 from repro.apps import make_app
 from repro.detect import UseFreeDetector
+from repro.hb import build_happens_before
 from repro.stream import StreamAnalyzer, concat_sessions
 from repro.trace import dumps_trace
 
@@ -84,3 +92,19 @@ def test_online_soak_throughput(benchmark):
         lambda: soak_trace(trace, name="connectbot"), rounds=1, iterations=1
     )
     assert result.identical, result.format()
+
+
+def test_online_derivation_equals_offline():
+    """The stream derives exactly the recorded edges in the recorded
+    rounds, and both equal the offline build's."""
+    bounds = BOUNDS["online"]
+    trace = make_app(
+        bounds["app"], scale=bounds["scale"], seed=bounds["seed"]
+    ).run().trace
+    profile, online = _stream(trace, gc=True)
+    offline = build_happens_before(trace)
+    assert online == [str(r) for r in UseFreeDetector(trace).detect().reports]
+    assert profile.derived_edges == bounds["derived_edges"]
+    assert profile.fixpoint_rounds == bounds["fixpoint_rounds"]
+    assert profile.derived_edges == offline.derived_edges
+    assert profile.fixpoint_rounds == len(offline.profile.edges_per_round)

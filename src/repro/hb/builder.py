@@ -105,7 +105,7 @@ class BuildProfile:
     edges_per_round: List[int] = field(default_factory=list)
     #: full closure rebuilds (1 for an incremental build, ~rounds+1 legacy)
     closure_recomputations: int = 0
-    #: reachability bits newly set by incremental propagation
+    #: reachability bits newly set by the incremental closure sweeps
     bits_propagated: int = 0
     #: rule groups (per looper / per queue) evaluated across all rounds
     groups_examined: int = 0
@@ -683,7 +683,12 @@ class _DerivedRules:
     each rule did.
     """
 
-    def __init__(self, state: _BuildState, graph: KeyGraph) -> None:
+    def __init__(
+        self,
+        state: _BuildState,
+        graph: KeyGraph,
+        work: Optional[Dict[str, RuleWork]] = None,
+    ) -> None:
         self.state = state
         self.graph = graph
         self.groups_examined = 0
@@ -693,18 +698,19 @@ class _DerivedRules:
         #: rule members the per-group scheme would have re-examined
         self.group_dirty_events = 0
         config = state.config
-        #: per-rule work counters, for the rules this config enables
-        self.work: Dict[str, RuleWork] = {
-            rule: RuleWork()
-            for rule, enabled in (
-                (RULE_ATOMICITY, config.atomicity),
-                (RULE_QUEUE_1, config.queue_rule_1),
-                (RULE_QUEUE_2, config.queue_rule_2),
-                (RULE_QUEUE_3, config.queue_rule_3),
-                (RULE_QUEUE_4, config.queue_rule_4),
-            )
-            if enabled
-        }
+        #: per-rule work counters, for the rules this config enables;
+        #: a caller-supplied ``work`` dict keeps accumulating (the
+        #: online builder rebuilds the rules on membership changes)
+        self.work: Dict[str, RuleWork] = {} if work is None else work
+        for rule, enabled in (
+            (RULE_ATOMICITY, config.atomicity),
+            (RULE_QUEUE_1, config.queue_rule_1),
+            (RULE_QUEUE_2, config.queue_rule_2),
+            (RULE_QUEUE_3, config.queue_rule_3),
+            (RULE_QUEUE_4, config.queue_rule_4),
+        ):
+            if enabled:
+                self.work.setdefault(rule, RuleWork())
         dispatched = [
             rec for rec in state.events.values() if rec.dispatched and rec.queue
         ]

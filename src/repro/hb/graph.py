@@ -22,18 +22,20 @@ index, with chunk-level copy-on-write sharing between a node and its
 successors, so the closure's memory tracks how much each node actually
 reaches instead of the key-node count squared.  The *first* closure
 is computed in reverse topological order and from then on the index is
-maintained *incrementally*: ``add_edge(u, v)`` on a closed graph ORs
-``reach[v]`` into ``reach[u]`` and propagates the gained bits backward
-through predecessors with a worklist, stopping as soon as a bitset
-stops changing.  The builder's fixpoint therefore pays one full
-closure total instead of one per round, which is what makes it scale
+maintained *incrementally*: ``add_edge(u, v)`` on a closed graph
+records the edge as pending, and the next read of the closure folds
+every pending edge in with one backward sweep — a worklist over the
+changed nodes that pops the highest node id first, so a node whose
+descendants changed ORs into its predecessors about once per sweep
+rather than once per edge.  The builder's fixpoint therefore pays one
+full closure total instead of one per round, and one sweep per round
 (Section 4.2 reports offline analysis times of minutes to hours on
 real traces; see ``docs/model.md`` for the algorithm's invariants).
 
 Two counters make the closure work observable:
 ``closure_recomputations`` (full from-scratch closure builds) and
-``bits_propagated`` (reachability bits newly set by incremental
-propagation).  ``benchmarks/test_analysis_scaling.py`` asserts the
+``bits_propagated`` (reachability bits newly set by the incremental
+sweeps).  ``benchmarks/test_analysis_scaling.py`` asserts the
 former stays constant across the fixpoint, and
 ``benchmarks/test_closure_engine.py`` pins the closure's memory.
 
@@ -60,6 +62,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -195,11 +198,14 @@ class KeyGraph:
         self._edge_rule: Dict[Tuple[int, int], str] = {}
         self._reach: Optional[List[SparseBits]] = None
         self._incremental = incremental
+        #: edges recorded on a closed graph but not yet folded into the
+        #: closure; :meth:`_flush` sweeps them in at the next read
+        self._pending: List[Tuple[int, int]] = []
         #: nodes whose reach set changed since the last :meth:`drain_dirty`
         self._dirty: Set[int] = set()
         #: full from-scratch transitive-closure builds performed
         self.closure_recomputations = 0
-        #: reachability bits newly set by incremental edge propagation
+        #: reachability bits newly set by the incremental sweeps
         self.bits_propagated = 0
 
     # -- construction -----------------------------------------------------
@@ -261,8 +267,12 @@ class KeyGraph:
         """Add edge ``u -> v`` between node ids; returns False if present.
 
         On a graph whose closure is already computed (incremental mode)
-        the reachability index is updated in place, and an edge that
-        closes a cycle raises :class:`HBCycleError` immediately; on a
+        the edge is recorded as pending and folded into the closure by
+        the next read (:meth:`_flush`).  An edge whose target already
+        reaches its source by the closure as last read raises
+        :class:`HBCycleError` immediately; the reach sets only grow, so
+        that test never fires falsely, and a cycle closed only through
+        pending edges raises at the next read instead.  On a
         never-closed graph cycles are detected by the next closure
         computation, as before.
         """
@@ -271,8 +281,12 @@ class KeyGraph:
         self._succ[u].append(v)
         self._pred[v].append(u)
         self._edge_rule[(u, v)] = rule
-        if self._incremental and self._reach is not None:
-            self._propagate(u, v)
+        reach = self._reach
+        if self._incremental and reach is not None:
+            if reach[v].test(u):
+                # v already reaches u, so u -> v closes a cycle.
+                raise HBCycleError(self._find_cycle())
+            self._pending.append((u, v))
         else:
             self._reach = None
         return True
@@ -295,35 +309,53 @@ class KeyGraph:
 
     # -- closure -----------------------------------------------------------
 
-    def _propagate(self, u: int, v: int) -> None:
-        """Fold the new edge ``u -> v`` into the live closure.
+    def _flush(self) -> None:
+        """Fold every pending edge into the live closure in one sweep.
 
-        OR ``reach[v]`` into ``reach[u]``, then push the gained bits
-        backward through predecessors with a worklist; a node is
-        revisited only while its bitset actually changes, so already-
-        implied edges cost one chunk-wise union and nothing else.
+        Each pending ``u -> v`` ORs ``reach[v]`` into ``reach[u]``; then
+        a worklist pushes every changed node's reach set into its
+        predecessors, popping the highest node id first.  Nodes arrive
+        roughly in topological order, so a changed node is usually
+        final when popped and ORs into its predecessors once per sweep.
+        Reach sets only grow, so each (node, bit) pair is set exactly
+        once whatever the order: the closure, ``bits_propagated`` and
+        the dirty set (nodes whose reach changed) equal what one
+        propagation per edge would give.  Every swept edge is then
+        tested again, which catches a cycle closed only through
+        pending edges.
         """
-        reach = self._reach
-        if reach is None:  # pragma: no cover - guarded by add_edge/add_node
-            raise HBInvariantError("_propagate called without a closure")
-        if reach[v].test(u):
-            # v already reaches u, so u -> v closes a cycle.
-            raise HBCycleError(self._find_cycle())
-        count = reach[u].ior(reach[v])
-        if not count:
+        pending = self._pending
+        if not pending:
             return
-        self.bits_propagated += count
-        self._dirty.add(u)
-        stack = [u]
-        while stack:
-            x = stack.pop()
+        self._pending = []
+        reach, pred, dirty = self._reach, self._pred, self._dirty
+        gained = 0
+        heap: List[int] = []  # negated node ids: a max-heap
+        queued: Set[int] = set()
+        for u, v in pending:
+            count = reach[u].ior(reach[v])
+            if count:
+                gained += count
+                dirty.add(u)
+                if u not in queued:
+                    queued.add(u)
+                    heappush(heap, -u)
+        while heap:
+            x = -heappop(heap)
+            queued.discard(x)
             rx = reach[x]
-            for p in self._pred[x]:
+            for p in pred[x]:
                 count = reach[p].ior(rx)
                 if count:
-                    self.bits_propagated += count
-                    self._dirty.add(p)
-                    stack.append(p)
+                    gained += count
+                    dirty.add(p)
+                    if p not in queued:
+                        queued.add(p)
+                        heappush(heap, -p)
+        self.bits_propagated += gained
+        for u, v in pending:
+            if reach[v].test(u):
+                raise HBCycleError(self._find_cycle())
 
     def _toposort(self) -> List[int]:
         n = self.node_count
@@ -376,6 +408,8 @@ class KeyGraph:
 
     def _closure(self) -> List[SparseBits]:
         if self._reach is not None:
+            if self._pending:
+                self._flush()
             return self._reach
         order = self._toposort()
         n = self.node_count
@@ -431,8 +465,9 @@ class KeyGraph:
         per-event granularity (one id per changed key node, not one
         flag per looper/queue group) is what lets the builder's
         fixpoint re-examine only the rule members whose premise
-        actually moved.
+        actually moved.  Pending edges are swept in first.
         """
+        self._flush()
         dirty = self._dirty
         self._dirty = set()
         return dirty
@@ -454,6 +489,7 @@ class KeyGraph:
         """
         if self._reach is None:
             return 0
+        self._flush()
         return vector_stats(self._reach).bytes
 
     def chunk_stats(self) -> Optional[ChunkStats]:
@@ -461,6 +497,7 @@ class KeyGraph:
         is not yet computed)."""
         if self._reach is None:
             return None
+        self._flush()
         return vector_stats(self._reach)
 
     def find_path(self, u: int, v: int) -> Optional[List[int]]:

@@ -5,9 +5,10 @@ the whole trace, allocate the key graph, add every base edge, close,
 then run the derived-rule fixpoint.  :class:`IncrementalHB` runs the
 same passes *op by op* against the live incremental closure that
 :class:`~repro.hb.graph.KeyGraph` already maintains (``incremental=True``
-appends self-only closure rows on ``add_node`` and worklist-propagates
-on ``add_edge``), so the relation is extended as records arrive instead
-of rebuilt.
+appends self-only closure rows on ``add_node``, records ``add_edge``
+as pending and folds the pending edges in with one backward sweep at
+the next read — in practice once per :meth:`IncrementalHB.poll`), so
+the relation is extended as records arrive instead of rebuilt.
 
 The streaming construction reuses the builder's own machinery — the
 shared :class:`~repro.hb.builder._BuildState` scan bookkeeping,
@@ -54,9 +55,24 @@ conclusions.  The poll therefore fingerprints group membership; when it
 changes, the rules are rebuilt and that poll's first round runs with
 ``dirty=None`` (full examination — the batch round-one semantics),
 which is sound because the implied-edge check already skips everything
-the closure knows.  ``_seed_queue_rule_1_chains`` (a batch-only
-warm-start optimization) is skipped; the fixpoint derives the same
-edges.
+the closure knows.
+
+A membership change also re-runs the batch build's
+``_seed_queue_rule_1_chains``, under the batch condition (queue rule 1
+on, ``sequential_events`` off).  Each seeded ``end(e1) → begin(e2)``
+is a rule-1 conclusion even mid-stream: both sends come from one task,
+so ``send(e1) < send(e2)`` is program order, and the seeding requires
+``d1 <= d2``; events between them need not be dispatched yet.  Edges
+inside the least fixpoint do not change the fixpoint, so the relation
+is the batch one, and the fixpoint is left to derive only what
+transitivity cannot reach — without the seeding, an event-dense
+session concludes one rule-1 edge per ordered send pair.
+
+Cycle checks: ``add_edge`` on the live graph raises
+:class:`~repro.hb.graph.HBCycleError` at ingest when the closure as
+last swept already orders the edge's target before its source; a cycle
+closed only through edges added since the last sweep raises from the
+next :meth:`IncrementalHB.poll` instead.
 """
 
 from __future__ import annotations
@@ -75,11 +91,13 @@ from ..hb.builder import (
     RULE_SEND,
     RULE_SEND_AT_FRONT,
     RULE_SIGNAL_WAIT,
+    RuleWork,
     _BuildState,
     _check_one_looper_per_queue,
     _DerivedRules,
     _effective_task_of_id,
     _harvest,
+    _seed_queue_rule_1_chains,
 )
 from ..hb.config import CAFA_MODEL, ModelConfig
 from ..hb.graph import HappensBefore, KeyGraph
@@ -130,12 +148,18 @@ class IncrementalHB:
     :meth:`poll` whenever the derived closure should catch up, and
     :meth:`relation` for a queryable
     :class:`~repro.hb.graph.HappensBefore` view over the live state.
+
+    ``rule_work`` accumulates the fixpoint's per-rule
+    :class:`~repro.hb.builder.RuleWork` across every rebuild of the
+    rule structures; pass a shared dict to sum several relations (the
+    :class:`~repro.stream.StreamAnalyzer` sums its epochs and models).
     """
 
     def __init__(
         self,
         trace: Trace,
         config: ModelConfig = CAFA_MODEL,
+        rule_work: Optional[Dict[str, RuleWork]] = None,
     ) -> None:
         self.trace = trace
         self.config = config
@@ -164,9 +188,13 @@ class IncrementalHB:
         self._membership: Optional[Tuple[tuple, ...]] = None
         self.rounds = 0
         self.derived_edges = 0
+        self.rule_work: Dict[str, RuleWork] = (
+            rule_work if rule_work is not None else {}
+        )
         self._derived_enabled = not config.sequential_events and (
             config.atomicity or config.any_queue_rule
         )
+        self._seed_rule_1 = config.queue_rule_1 and not config.sequential_events
 
     # -- ingestion -----------------------------------------------------
 
@@ -337,11 +365,15 @@ class IncrementalHB:
         if membership != self._membership:
             self._membership = membership
             _check_one_looper_per_queue(self.state)
-            self._rules = _DerivedRules(self.state, self.graph)
+            if self._seed_rule_1:
+                _seed_queue_rule_1_chains(self.state, self.graph)
+            self._rules = _DerivedRules(self.state, self.graph, self.rule_work)
             # Newly built rule structures: examine every group once
             # (see module docstring — a member that joined a group may
-            # have premise changes drained in earlier polls).
+            # have premise changes drained in earlier polls), so the
+            # dirt the seeding leaves is moot.
             dirty = None
+            self.graph.drain_dirty()
             self._dirty.clear()
         else:
             if self._rules is None or not self._dirty:

@@ -79,7 +79,7 @@ class SessionReport:
     @classmethod
     def from_dict(cls, data: dict) -> "SessionReport":
         data = dict(data)
-        data["profile"] = StreamProfile(**data.get("profile", {}))
+        data["profile"] = StreamProfile.from_dict(data.get("profile", {}))
         return cls(**data)
 
     def format(self) -> str:
@@ -165,7 +165,8 @@ class DaemonReport:
                 for sid, rep in data.get("sessions", {}).items()
             },
             shard_profiles=[
-                StreamProfile(**p) for p in data.get("shard_profiles", [])
+                StreamProfile.from_dict(p)
+                for p in data.get("shard_profiles", [])
             ],
             worker_profiles=[
                 WorkerProfile(**w) for w in data.get("workers", [])

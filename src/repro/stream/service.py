@@ -47,7 +47,7 @@ exactly what the batch detector emits for those ops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import dataclasses
 
@@ -59,6 +59,7 @@ from ..detect import (
     detect_sampled,
 )
 from ..detect.report import RaceReport
+from ..hb.builder import RuleWork
 from ..obs.spans import span
 from ..trace import AnyTraceDecoder, OpKind, Trace
 from ..trace.trace import TaskInfo
@@ -72,7 +73,12 @@ DEFAULT_POLL_EVERY = 64
 
 @dataclass
 class StreamProfile:
-    """Counters of one analyzer's life, shown by ``repro stream``."""
+    """Counters of one analyzer's life, shown by ``repro stream``.
+
+    ``closure_bytes`` is a gauge refreshed at polls 1, 2, 4, 8, … and
+    at every epoch close; ``peak_closure_bytes`` is exact, because the
+    closure only grows within an epoch and is measured at each close.
+    """
 
     records_ingested: int = 0
     ops_ingested: int = 0
@@ -89,6 +95,19 @@ class StreamProfile:
     sampled_pairs: int = 0
     sampled_suspects: int = 0
     escalations: int = 0
+    #: per derived rule, the fixpoint's work summed over every poll,
+    #: rule rebuild and epoch (see :class:`~repro.hb.builder.RuleWork`)
+    rule_work: Dict[str, RuleWork] = field(default_factory=dict)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "StreamProfile":
+        """Inverse of :func:`dataclasses.asdict` (JSON round trips)."""
+        data = dict(data)
+        data["rule_work"] = {
+            rule: RuleWork(**work)
+            for rule, work in data.get("rule_work", {}).items()
+        }
+        return cls(**data)
 
     def format(self) -> str:
         lines = ["stream profile:"]
@@ -107,6 +126,14 @@ class StreamProfile:
             lines.append(f"  sampled pairs        {self.sampled_pairs:>12}")
             lines.append(f"  sampled suspects     {self.sampled_suspects:>12}")
             lines.append(f"  escalations          {self.escalations:>12}")
+        for rule, w in self.rule_work.items():
+            if w.members_examined:
+                lines.append(
+                    f"  rule {rule}: {w.members_examined} members examined, "
+                    f"{w.members_settled} settled by popcount, "
+                    f"{w.pairs_enumerated} pairs enumerated, "
+                    f"{w.edges_concluded} edges concluded"
+                )
         return "\n".join(lines)
 
 
@@ -118,13 +145,23 @@ def merge_profiles(profiles) -> StreamProfile:
     fields, which makes the merged peak a *conservative upper bound*
     on the aggregate's true simultaneous peak (sessions on one shard
     run concurrently only epoch-interleaved, so their individual peaks
-    rarely coincide).
+    rarely coincide).  ``rule_work`` is summed per rule and field.
     """
     merged = StreamProfile()
     for profile in profiles:
         for name in StreamProfile.__dataclass_fields__:
-            setattr(merged, name, getattr(merged, name) + getattr(profile, name))
+            if name == "rule_work":
+                _add_rule_work(merged.rule_work, profile.rule_work)
+            else:
+                setattr(merged, name, getattr(merged, name) + getattr(profile, name))
     return merged
+
+
+def _add_rule_work(into: Dict[str, RuleWork], other: Dict[str, RuleWork]) -> None:
+    for rule, work in other.items():
+        total = into.setdefault(rule, RuleWork())
+        for name in RuleWork.__dataclass_fields__:
+            setattr(total, name, getattr(total, name) + getattr(work, name))
 
 
 @dataclass
@@ -210,8 +247,11 @@ class StreamAnalyzer:
             self.cafa = None
             self.conventional = None
         else:
-            self.cafa = IncrementalHB(trace, options.model)
-            self.conventional = IncrementalHB(trace, options.conventional_model)
+            work = self.profile.rule_work
+            self.cafa = IncrementalHB(trace, options.model, work)
+            self.conventional = IncrementalHB(
+                trace, options.conventional_model, work
+            )
         self.extractor = AccessExtractor(trace)
         self._processed = 0
         self._epoch_ops = 0
@@ -293,19 +333,29 @@ class StreamAnalyzer:
             return
         self.cafa.poll()
         self.conventional.poll()
-        self.profile.polls += 1
-        self.profile.fixpoint_rounds = (
+        profile = self.profile
+        profile.polls += 1
+        profile.fixpoint_rounds = (
             self._rounds_retired + self.cafa.rounds + self.conventional.rounds
         )
-        self.profile.derived_edges = (
+        profile.derived_edges = (
             self._edges_retired
             + self.cafa.derived_edges
             + self.conventional.derived_edges
         )
+        # Measuring the closure walks every chunk, so the live gauge is
+        # refreshed only at polls 1, 2, 4, 8, ...; the peak stays exact
+        # because _close_epoch measures every epoch at its largest.
+        if profile.polls & (profile.polls - 1) == 0:
+            self._measure_closure()
+
+    def _measure_closure(self) -> int:
+        """Refresh the closure gauge (and the peak); returns the bytes."""
         closure = self.cafa.closure_bytes() + self.conventional.closure_bytes()
         self.profile.closure_bytes = closure
         if closure > self.profile.peak_closure_bytes:
             self.profile.peak_closure_bytes = closure
+        return closure
 
     def _detect(self) -> List[RaceReport]:
         """Run the batch detector over the current epoch's live state."""
@@ -358,9 +408,7 @@ class StreamAnalyzer:
         reports = self._detect()
         closure = 0
         if self.cafa is not None:
-            closure = (
-                self.cafa.closure_bytes() + self.conventional.closure_bytes()
-            )
+            closure = self._measure_closure()
         summary = EpochSummary(
             index=self._epoch_index,
             ops=self._epoch_ops,

@@ -592,6 +592,12 @@ class BinaryTraceDecoder:
         the trace."""
         self.flush()
         if self.header is None:
+            if self._magic_ok:
+                # The magic arrived whole but nothing after it did.
+                raise TraceFormatError(
+                    "stream ends right after the v3 magic, before the "
+                    "header frame; the file is truncated"
+                )
             raise TraceError("empty trace stream")
         if self.strict:
             if not self._trailer_ok:

@@ -200,14 +200,27 @@ def _dump_via_writer(trace: Trace, writer) -> None:
     writer.finish()
 
 
+def _require_stream(fp, func: str) -> None:
+    """Reject a path or in-memory data where an open stream belongs."""
+    if isinstance(fp, (str, bytes, os.PathLike)):
+        raise TypeError(
+            f"{func}() writes to an open stream, not a "
+            f"{type(fp).__name__}; use save_trace_file() to save a trace "
+            "to a path"
+        )
+
+
 def dump_trace(trace: Trace, fp: IO[str], version: int = FORMAT_VERSION) -> None:
     """Write ``trace`` to a *text* stream in JSONL format (v1/v2).
 
     ``version`` selects the on-disk format; both text versions stream
     one line at a time and never hold the serialized trace in memory.
     Version 3 is binary — use :func:`dump_trace_binary` or
-    :func:`save_trace_file`, which dispatches on version.
+    :func:`save_trace_file`, which dispatches on version.  A ``str``,
+    ``bytes`` or ``os.PathLike`` in place of the stream raises
+    :class:`TypeError` naming :func:`save_trace_file`.
     """
+    _require_stream(fp, "dump_trace")
     if version == 3:
         raise TraceError(
             "cannot write trace version 3 to a text stream; "
@@ -220,7 +233,9 @@ def dump_trace(trace: Trace, fp: IO[str], version: int = FORMAT_VERSION) -> None
 
 
 def dump_trace_binary(trace: Trace, fp: IO[bytes]) -> None:
-    """Write ``trace`` to a binary stream in the v3 framed format."""
+    """Write ``trace`` to a binary stream in the v3 framed format
+    (a path raises :class:`TypeError`, as in :func:`dump_trace`)."""
+    _require_stream(fp, "dump_trace_binary")
     writer = _make_writer(fp, 3, tasks=len(trace.tasks), ops=len(trace))
     _dump_via_writer(trace, writer)
 

@@ -5,7 +5,10 @@
 historical invalidate-and-rebuild behaviour.  The two must agree on
 every query and produce identical reach bitsets under any interleaving
 of construction and queries — hypothesis drives randomized scripts,
-and the app traces exercise the full builder both ways.
+and the app traces exercise the full builder both ways.  Edges on a
+closed graph are swept in batches at the next read; a per-edge
+reference model checks that batching changes no closure, dirty set or
+bit count.
 """
 
 import random
@@ -134,6 +137,206 @@ class TestIncrementalMechanics:
         g.close()
         g.close()
         assert g.closure_recomputations == 1
+
+
+@st.composite
+def edge_batches(draw):
+    """A closed DAG, then batches of new nodes and edges between reads.
+
+    Every node draws a hidden rank and edges run from lower to higher
+    (rank, id), so the graph stays acyclic while node ids are *not* a
+    topological order — the sweep's highest-id-first heuristic must
+    not matter for the result.
+    """
+    ranks = draw(st.lists(st.integers(0, 50), min_size=2, max_size=12))
+    pair = st.tuples(st.integers(0, 10_000), st.integers(0, 10_000))
+    initial = draw(st.lists(pair, max_size=20))
+    batches = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 50), max_size=4),  # new node ranks
+                st.lists(pair, max_size=12),  # edges
+                st.sampled_from(["drain", "vector", "reaches"]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return ranks, initial, batches
+
+
+class PerEdgeModel:
+    """Reference closure over big-int rows, propagating every edge on
+    arrival (the per-edge worklist the batched sweep replaced)."""
+
+    def __init__(self, n, edges):
+        self.pred = [[] for _ in range(n)]
+        succ = [[] for _ in range(n)]
+        for u, v in edges:
+            succ[u].append(v)
+            self.pred[v].append(u)
+        self.reach = [self._dfs(succ, x) for x in range(n)]
+        self.dirty = set(range(n))
+        self.bits = 0
+
+    @staticmethod
+    def _dfs(succ, root):
+        seen, stack = {root}, [root]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return sum(1 << x for x in seen)
+
+    def add_node(self):
+        node = len(self.reach)
+        self.reach.append(1 << node)
+        self.pred.append([])
+        self.dirty.add(node)
+
+    def add_edge(self, u, v):
+        self.pred[v].append(u)
+        stack = []
+        gained = self.reach[v] & ~self.reach[u]
+        if gained:
+            self.reach[u] |= gained
+            self.bits += bin(gained).count("1")
+            self.dirty.add(u)
+            stack.append(u)
+        while stack:
+            x = stack.pop()
+            for p in self.pred[x]:
+                gained = self.reach[x] & ~self.reach[p]
+                if gained:
+                    self.reach[p] |= gained
+                    self.bits += bin(gained).count("1")
+                    self.dirty.add(p)
+                    stack.append(p)
+
+    def drain(self):
+        dirty, self.dirty = self.dirty, set()
+        return dirty
+
+
+def _ordered_edge(order, x, y):
+    n = len(order)
+    a, b = x % n, y % n
+    if a == b:
+        return None
+    return (a, b) if order[a] < order[b] else (b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_batches())
+def test_batched_flush_matches_per_edge_and_scratch(case):
+    """Batches of edges between reads leave the same reach vectors,
+    the same ``drain_dirty()`` sets and the same ``bits_propagated``
+    as propagating every edge on arrival, and the same closure as a
+    from-scratch build of the final graph."""
+    ranks, initial, batches = case
+    order = [(rank, i) for i, rank in enumerate(ranks)]
+    g = KeyGraph()
+    for i in range(len(order)):
+        g.add_node(i)
+    edges = []
+    for x, y in initial:
+        e = _ordered_edge(order, x, y)
+        if e is not None and g.add_edge(*e, "base"):
+            edges.append(e)
+    g.close()
+    model = PerEdgeModel(len(order), edges)
+    assert g.drain_dirty() == model.drain()
+    for new_ranks, batch, read in batches:
+        for rank in new_ranks:
+            order.append((rank, len(order)))
+            g.add_node(len(order) - 1)
+            model.add_node()
+        for x, y in batch:
+            e = _ordered_edge(order, x, y)
+            if e is not None and g.add_edge(*e, "batch"):
+                edges.append(e)
+                model.add_edge(*e)
+        if read == "drain":
+            assert g.drain_dirty() == model.drain()
+        elif read == "vector":
+            assert [r.to_int() for r in g.reach_vector()] == model.reach
+        else:
+            assert g.reaches(0, len(order) - 1) == bool(
+                model.reach[0] >> (len(order) - 1) & 1
+            )
+        assert g.bits_propagated == model.bits
+    assert [r.to_int() for r in g.reach_vector()] == model.reach
+    assert g.drain_dirty() == model.drain()
+    assert g.bits_propagated == model.bits
+    scratch = KeyGraph()
+    for i in range(len(order)):
+        scratch.add_node(i)
+    for u, v in edges:
+        scratch.add_edge(u, v, "x")
+    assert scratch.reach_vector() == g.reach_vector()
+    assert scratch.closure_recomputations == 1 == g.closure_recomputations
+
+
+class TestCycleThroughPendingEdges:
+    """A cycle closed only by edges added since the last read passes
+    both immediate tests and raises at the next read."""
+
+    def two_pending_edges(self):
+        g = KeyGraph()
+        nodes = [g.add_node(i) for i in range(3)]
+        g.add_edge(nodes[0], nodes[1], "po")
+        g.add_edge(nodes[1], nodes[2], "po")
+        g.close()
+        extra = g.add_node(3)
+        g.add_edge(nodes[2], extra, "x")  # immediate test passes
+        g.add_edge(extra, nodes[0], "y")  # stale reach[0] lacks 3: passes
+        return g
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda g: g.reach_vector(),
+            lambda g: g.reaches(0, 1),
+            lambda g: g.reach_set(0),
+            lambda g: g.close(),
+            lambda g: g.drain_dirty(),
+            lambda g: g.closure_bytes(),
+            lambda g: g.chunk_stats(),
+        ],
+        ids=["reach_vector", "reaches", "reach_set", "close", "drain_dirty",
+             "closure_bytes", "chunk_stats"],
+    )
+    def test_next_read_raises(self, read):
+        g = self.two_pending_edges()
+        with pytest.raises(HBCycleError) as excinfo:
+            read(g)
+        assert len(excinfo.value.cycle) >= 2
+
+    def test_online_poll_raises(self):
+        from repro.stream.incremental import IncrementalHB
+        from repro.testing import TraceBuilder
+
+        # A joins B before forking it.  Online every edge of the cycle
+        # (join -> fork -> begin(B) -> end(B) -> join) lands between two
+        # polls, so ingest's immediate tests all pass.
+        b = TraceBuilder()
+        b.thread("A")
+        b.thread("B")
+        b.begin("A")
+        b.join("A", "B")
+        b.fork("A", "B")
+        b.begin("B")
+        b.end("B")
+        b.end("A")
+        trace = b.build(validate=False)
+        online = IncrementalHB(trace)
+        for i in range(len(trace)):
+            online.ingest(i)
+        with pytest.raises(HBCycleError):
+            online.poll()
+        with pytest.raises(HBCycleError):
+            build_happens_before(trace)
 
 
 def _sample_pairs(n, k, seed=0):

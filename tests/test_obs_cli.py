@@ -34,6 +34,7 @@ class TestStatsJson:
         assert doc["build"]["key_nodes"] > 0
         assert doc["query"]["queries"] > 0
         assert doc["stream"]["ops_ingested"] == doc["trace"]["ops"]
+        assert doc["stream"]["rule_work"]["atomicity"]["members_examined"] > 0
         assert doc["sparse"] is None
 
     def test_stable_build_keys(self, trace_path, capsys):

@@ -14,6 +14,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
+from repro.hb import RuleWork
 from repro.obs import Histogram, MetricsSnapshot, merge_snapshots
 from repro.parallel import WorkerProfile, merge_worker_profiles
 from repro.stream import StreamProfile, merge_profiles
@@ -22,10 +23,20 @@ counts = st.integers(min_value=0, max_value=1 << 20)
 #: exactly-representable non-negative dyadic rationals
 dyadic = counts.map(lambda n: n / 16.0)
 
+#: per-rule work maps, summed rule by rule and field by field
+rule_works = st.dictionaries(
+    st.sampled_from(["atomicity", "queue-rule-1", "queue-rule-2"]),
+    st.builds(
+        RuleWork,
+        **{field.name: counts for field in dataclasses.fields(RuleWork)},
+    ),
+    max_size=3,
+)
+
 stream_profiles = st.builds(
     StreamProfile,
     **{
-        field.name: counts
+        field.name: rule_works if field.name == "rule_work" else counts
         for field in dataclasses.fields(StreamProfile)
     },
 )

@@ -131,6 +131,87 @@ class TestEpochGC:
             concat_sessions(base, sessions=0)
 
 
+class TestRuleWork:
+    """``StreamProfile.rule_work`` sums the fixpoint's per-rule work
+    over every poll, rule rebuild and epoch."""
+
+    @staticmethod
+    def _work(profile):
+        return {
+            rule: (w.members_examined, w.members_settled,
+                   w.pairs_enumerated, w.edges_concluded)
+            for rule, w in profile.rule_work.items()
+            if w.members_examined
+        }
+
+    def _trace(self):
+        from tests.test_hb_rules import TestFixpointCounters
+
+        return TestFixpointCounters._trace()
+
+    def test_one_poll_does_the_batch_work(self):
+        # The whole session fits in one poll: the same work, member for
+        # member, as the batch build pinned in test_hb_rules.py.
+        analyzer, _ = stream_reports(self._trace(), gc=False)
+        assert analyzer.profile.polls == 1
+        assert self._work(analyzer.profile) == {
+            "atomicity": (4, 3, 1, 1),
+            "queue-rule-1": (2, 1, 1, 1),
+        }
+        assert set(analyzer.profile.rule_work) == {
+            "atomicity", "queue-rule-1", "queue-rule-2", "queue-rule-3",
+            "queue-rule-4",
+        }
+
+    def test_accumulates_across_rebuilds(self):
+        # Polling after every op rebuilds the rules on each membership
+        # change; the earlier rebuilds' work is kept.
+        analyzer, _ = stream_reports(self._trace(), gc=False, poll_every=1)
+        assert self._work(analyzer.profile) == {
+            "atomicity": (6, 5, 1, 1),
+            "queue-rule-1": (2, 1, 1, 1),
+        }
+
+    def test_accumulates_across_epochs(self):
+        single, _ = stream_reports(self._trace(), gc=True)
+        double, _ = stream_reports(
+            concat_sessions(self._trace(), sessions=2), gc=True
+        )
+        assert double.profile.epochs_retired == 2 * single.profile.epochs_retired
+        assert self._work(single.profile) == {
+            "atomicity": (2, 2, 0, 0),
+            "queue-rule-1": (2, 1, 1, 1),
+        }
+        assert self._work(double.profile) == {
+            "atomicity": (4, 4, 0, 0),
+            "queue-rule-1": (4, 2, 2, 2),
+        }
+
+    def test_merge_and_json_round_trip(self):
+        import dataclasses
+        import json
+
+        from repro.stream import StreamProfile, merge_profiles
+
+        analyzer, _ = stream_reports(self._trace(), gc=False)
+        merged = merge_profiles([analyzer.profile, analyzer.profile])
+        assert self._work(merged) == {
+            "atomicity": (8, 6, 2, 2),
+            "queue-rule-1": (4, 2, 2, 2),
+        }
+        doc = json.loads(json.dumps(dataclasses.asdict(merged)))
+        assert StreamProfile.from_dict(doc) == merged
+
+    def test_printed_by_the_profile(self):
+        analyzer, _ = stream_reports(self._trace(), gc=False)
+        rendered = analyzer.profile.format()
+        assert (
+            "rule atomicity: 4 members examined, 3 settled by popcount, "
+            "1 pairs enumerated, 1 edges concluded"
+        ) in rendered
+        assert "rule queue-rule-2" not in rendered  # examined nothing
+
+
 class TestStreamCLI:
     """`repro stream` and `repro stats --stream` end to end."""
 
@@ -151,6 +232,7 @@ class TestStreamCLI:
         assert main(["stats", str(path), "--stream"]) == 0
         out = capsys.readouterr().out
         assert "records ingested" in out
+        assert "  rule atomicity: " in out  # the stream profile's line
 
     def test_stream_strict_rejects_truncation(self, tmp_path, capsys):
         text = dumps_trace(app_trace(), version=2)

@@ -15,6 +15,8 @@ from repro.trace import (
     SUPPORTED_VERSIONS,
     Trace,
     TraceError,
+    dump_trace,
+    dump_trace_binary,
     dumps_trace,
     dumps_trace_bytes,
     load_trace,
@@ -173,6 +175,36 @@ class TestLoadTraceMisuse:
         with pytest.raises(TypeError):
             load_trace(str(path))
         assert load_trace_file(str(path)).ops == trace.ops
+
+
+class TestDumpTraceMisuse:
+    """``dump_trace``/``dump_trace_binary`` take an open stream.  A path
+    used to die in the writer with ``'str' object has no attribute
+    'write'``."""
+
+    ARGS = pytest.mark.parametrize(
+        "arg",
+        ["out.cafa", b"out.cafa", Path("out.cafa")],
+        ids=["str", "bytes", "pathlike"],
+    )
+
+    @ARGS
+    def test_dump_trace_path_is_a_type_error(self, arg):
+        with pytest.raises(TypeError, match=r"save_trace_file\(\)"):
+            dump_trace(sample_trace(), arg)
+
+    @ARGS
+    def test_dump_trace_binary_path_is_a_type_error(self, arg):
+        with pytest.raises(TypeError, match=r"save_trace_file\(\)"):
+            dump_trace_binary(sample_trace(), arg)
+
+    def test_streams_still_accepted(self):
+        trace = sample_trace()
+        text, binary = io.StringIO(), io.BytesIO()
+        dump_trace(trace, text)
+        dump_trace_binary(trace, binary)
+        assert loads_trace(text.getvalue()).ops == trace.ops
+        assert loads_trace(binary.getvalue()).ops == trace.ops
 
 
 class TestGzip:

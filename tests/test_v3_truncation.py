@@ -87,6 +87,20 @@ class TestArbitraryByteCuts:
             salvaged = loads_trace(prefix, strict=False)
             assert race_keys(salvaged) <= full_keys
 
+    def test_cut_right_after_the_magic_is_named(self):
+        # The magic is whole but no header frame follows: this cut is
+        # truncation evidence like every other, not an "empty" stream.
+        blob, _ = app_blob("connectbot")
+        prefix = blob[: len(MAGIC_V3)]
+        with pytest.raises(TraceFormatError, match="truncated"):
+            loads_trace(prefix)
+        with pytest.raises(TraceFormatError, match="truncated"):
+            loads_trace(prefix, strict=False)
+
+    def test_empty_stream_is_still_empty(self):
+        with pytest.raises(TraceError, match="empty trace stream"):
+            BinaryTraceDecoder().finish()
+
     @pytest.mark.parametrize("name", APP_NAMES[:3])
     def test_trailer_cuts_are_truncation_evidence(self, name):
         blob, _ = app_blob(name)
